@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace perfbench {
-
-std::string Percentile::describe(const std::string& unit) const {
-  char buf[160];
-  if (!valid) {
-    std::snprintf(buf, sizeof(buf), "p%g n/a (n=%zu, needs %zu)", q, samples,
-                  samples_needed(q));
-  } else {
-    std::snprintf(buf, sizeof(buf), "p%g=%.6g %s (n=%zu, %zu beyond)", q, value, unit.c_str(),
-                  samples, beyond);
-  }
-  return buf;
-}
 
 std::size_t samples_needed(double q) {
   // Smallest n with n - ceil(q/100 * n) >= kMinBeyond.

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace perfbench {
@@ -21,9 +20,6 @@ struct Percentile {
   std::size_t samples = 0;   ///< sample count behind the value
   std::size_t beyond = 0;    ///< samples strictly above the rank
   bool valid = false;        ///< beyond >= kMinBeyond
-
-  /// "p99=1.234 (n=20000, 200 beyond)" or "p99 n/a (n=40, needs 1000)".
-  std::string describe(const std::string& unit) const;
 };
 
 /// Smallest sample count that leaves kMinBeyond samples beyond percentile q.

@@ -77,8 +77,6 @@ std::uint64_t Tracer::next_id() { return g_next_id.fetch_add(1, std::memory_orde
 
 std::uint32_t Tracer::thread_number() { return local_buffer().number; }
 
-std::uint64_t Tracer::current_parent() const { return local_buffer().current; }
-
 void Tracer::record(const Span& span) {
   ThreadBuffer& b = local_buffer();
   const std::lock_guard<std::mutex> lock(b.mutex);

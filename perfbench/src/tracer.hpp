@@ -11,6 +11,7 @@
 // account for the wall time of the workload's caller timelines.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -39,14 +40,12 @@ class Tracer {
  public:
   static Tracer& instance();
 
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-  bool enabled() const noexcept { return enabled_; }
+  void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
+  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
 
   std::uint64_t next_id();
   /// Thread number of the calling thread (assigned on first use).
   std::uint32_t thread_number();
-  /// Innermost open scope on this thread (0 when none).
-  std::uint64_t current_parent() const;
 
   void record(const Span& span);
   /// Every recorded span, all threads, in no particular order.
@@ -57,11 +56,9 @@ class Tracer {
   /// "start_ns","end_ns","thread"} to `path`.
   void write_jsonl(const std::string& path) const;
 
-  friend class SpanScope;
-
  private:
   Tracer() = default;
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};  // read on every instrumented call, any thread
 };
 
 /// RAII span on the calling thread; nests under the innermost open scope

@@ -1,6 +1,7 @@
 #include "workload.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 
 namespace perfbench {
@@ -23,9 +24,12 @@ void MetricSet::add(const std::string& name, double value, const std::string& un
 
 void MetricSet::add_percentile(const std::string& name, const Percentile& p,
                                const std::string& unit) {
-  char note[96];
-  std::snprintf(note, sizeof(note), "p%g of n=%zu, %zu beyond%s", p.q, p.samples, p.beyond,
-                p.valid ? "" : " (too few samples: needs 10 beyond)");
+  char note[112];
+  std::snprintf(note, sizeof(note), "p%g of n=%zu, %zu beyond", p.q, p.samples, p.beyond);
+  if (!p.valid) {
+    std::snprintf(note + std::strlen(note), sizeof(note) - std::strlen(note),
+                  " (too few samples: needs n=%zu)", samples_needed(p.q));
+  }
   add(name, p.value, unit, note);
 }
 
