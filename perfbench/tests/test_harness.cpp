@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/http_client.hpp"
+#include "api/http_server.hpp"
 #include "checks.hpp"
 #include "common/random.hpp"
 #include "counting_law.hpp"
@@ -92,6 +94,29 @@ void test_open_loop_stall_inflates_later_requests() {
   EXPECT(std::isinf(r[7].latency_ms()));  // the refused request
   EXPECT(r[8].latency_ms() > 100.0);      // still behind schedule
   EXPECT(r[19].scheduled_s == 0.19);
+}
+
+void test_open_loop_against_a_stalling_http_server() {
+  // The same accounting over real loopback HTTP: the server stalls one
+  // request, and the requests queued behind it on the connection pay for it.
+  preempt::api::HttpServer server;
+  server.start([](const preempt::api::HttpRequest& req) {
+    if (req.path() == "/stall") std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    return preempt::api::HttpResponse::json(200, "{}");
+  });
+  preempt::api::HttpConnection conn(server.port());
+  const auto t0 = SteadyClock::now() + std::chrono::milliseconds(5);
+  const std::vector<OpRecord> r = run_open_loop(
+      1, 100.0, 12,
+      [&conn](std::size_t i, std::size_t) {
+        return conn.get(i == 4 ? "/stall" : "/fast").status == 200;
+      },
+      t0);
+  server.stop();
+  EXPECT(r[2].ok && r[2].latency_ms() < 50.0);
+  EXPECT(r[4].latency_ms() > 140.0);
+  EXPECT(r[5].latency_ms() > 130.0 && r[5].lateness_ms() > 130.0);
+  EXPECT(r[5].service_ms() < 50.0);
 }
 
 Span make(std::uint64_t id, std::uint64_t parent, const char* layer, std::int64_t s,
@@ -225,6 +250,7 @@ int main() {
   test_percentile_needs_ten_beyond();
   test_failures_count_over_any_limit();
   test_open_loop_stall_inflates_later_requests();
+  test_open_loop_against_a_stalling_http_server();
   test_self_time_nested();
   test_span_scopes_nest();
   test_output_checks_reject_bad_inputs();
