@@ -8,7 +8,10 @@
 //
 // Latency is timed from each request's scheduled send time. GET
 // /v1/bags/{id} slots poll the oldest bag not yet seen done, which gives the
-// bag turnaround (scheduled submit -> observed done).
+// bag turnaround (scheduled submit -> observed done). The bounded figure is
+// requests served per CPU-second of the daemon's own threads: the offered
+// rate is fixed and far below capacity, so a costlier request shows up in
+// CPU long before it shows up as lost requests.
 //
 // Checks: every response has the expected status and JSON shape, and every
 // finished bag's report equals scenario::run_service of the same spec run
@@ -45,8 +48,8 @@ using namespace preempt;
 /// shared 4-vCPU VM (see perfbench/README.md).
 constexpr double kRatePerSecond = 3400.0;
 constexpr std::size_t kClientThreads = 4;
-/// Latency limit of the goodput metric: a request counts as served only
-/// when it was answered correctly within this long after its due time.
+/// A request counts as served only when it was answered correctly within
+/// this long after its due time.
 constexpr double kLatencyLimitMs = 25.0;
 
 const Route kWeighted[] = {
@@ -230,6 +233,7 @@ struct Window {
   std::int64_t end_ns = 0;
   std::size_t undrained = 0;  ///< bags never seen done
   double cpu_s = 0.0;         ///< process CPU seconds spent in the open loop
+  double daemon_cpu_s = 0.0;  ///< cpu_s minus the load generator's threads
 };
 
 /// The in-process twin of the daemon's bag execution.
@@ -392,8 +396,10 @@ WorkloadReport run_daemon_mixed(const RunConfig& config) {
     };
     w.start_ns = now_ns() + 20'000'000;
     const double cpu0 = process_cpu_seconds();
-    w.records = run_open_loop(kClientThreads, kRatePerSecond, count, send, t0);
+    double generator_cpu_s = 0.0;
+    w.records = run_open_loop(kClientThreads, kRatePerSecond, count, send, t0, &generator_cpu_s);
     w.cpu_s = process_cpu_seconds() - cpu0;
+    w.daemon_cpu_s = w.cpu_s - generator_cpu_s;
     w.end_ns = now_ns();
     // Drain: poll every bag not yet seen finished until it is.
     for (const std::size_t idx : book.pending()) {
@@ -452,18 +458,14 @@ WorkloadReport run_daemon_mixed(const RunConfig& config) {
   check_window(plain, "untraced");
   const std::vector<double> lat = latencies(plain);
   std::size_t within_limit = 0;
-  double last_done = 0.0;
   for (const OpRecord& r : plain.records) {
     if (r.latency_ms() <= kLatencyLimitMs) ++within_limit;
-    last_done = std::max(last_done, r.done_s);
   }
-  const Percentile p50 = percentile(lat, 50);
-  // Per second from the first due time to the last answer, so a daemon that
-  // falls behind stretches the window as well as losing requests.
-  report.e2e.add("items_per_s", static_cast<double>(within_limit) / last_done, "1/s",
-                 "goodput: requests answered correctly within 25 ms of their due time, per s");
-  report.e2e.add_percentile("op_p50_ms", p50, "ms");
-  report.e2e.add_percentile("p50_ms", p50, "ms");
+  report.e2e.add("items_per_s", static_cast<double>(within_limit) / plain.daemon_cpu_s, "1/s",
+                 "requests answered correctly within 25 ms of their due time, per CPU-second "
+                 "of the daemon's threads (" +
+                     std::to_string(within_limit) + " requests)");
+  report.e2e.add_percentile("p50_ms", percentile(lat, 50), "ms");
   report.e2e.add_percentile("p99_ms", percentile(lat, 99), "ms");
   const std::vector<double> jobs = turnarounds(plain);
   report.e2e.add_percentile("job_p50_ms", percentile(jobs, 50), "ms");

@@ -86,8 +86,6 @@ WorkloadReport run_fleet_10x(const RunConfig& config) {
   report.e2e.add("items_per_s", tasks / op_median, "1/s",
                  "simulated tasks/s from the median of " + std::to_string(op_s.size()) +
                      " replications");
-  report.e2e.add("op_p50_ms", op_median * 1e3, "ms",
-                 "median 10x replication, n=" + std::to_string(op_s.size()));
   report.e2e.add("tasks_per_s", tasks / op_median, "1/s");
   report.e2e.add("op_iqr_share", iqr_share(op_s), "ratio", "spread of the ops within this run");
 

@@ -2,17 +2,26 @@
 
 #include <sys/prctl.h>
 
+#include <ctime>
 #include <thread>
 
 namespace perfbench {
 
 namespace {
 constexpr int kSpinMicros = 100;
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 }  // namespace
 
 std::vector<OpRecord> run_open_loop(std::size_t threads, double rate_per_s, std::size_t count,
-                                    const SendFn& send, SteadyClock::time_point t0) {
+                                    const SendFn& send, SteadyClock::time_point t0,
+                                    double* generator_cpu_s) {
   std::vector<OpRecord> records(count);
+  std::vector<double> thread_cpu_s(threads, 0.0);
   const auto seconds_since = [t0](SteadyClock::time_point t) {
     return std::chrono::duration<double>(t - t0).count();
   };
@@ -40,9 +49,14 @@ std::vector<OpRecord> run_open_loop(std::size_t threads, double rate_per_s, std:
         }
         r.done_s = seconds_since(SteadyClock::now());
       }
+      thread_cpu_s[k] = thread_cpu_seconds();
     });
   }
   for (std::thread& t : pool) t.join();
+  if (generator_cpu_s != nullptr) {
+    *generator_cpu_s = 0.0;
+    for (const double s : thread_cpu_s) *generator_cpu_s += s;
+  }
   return records;
 }
 

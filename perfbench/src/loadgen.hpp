@@ -36,8 +36,12 @@ struct OpRecord {
 using SendFn = std::function<bool(std::size_t index, std::size_t thread)>;
 
 /// Run `count` requests at `rate_per_s` over `threads` threads starting at
-/// `t0`; returns one record per request, indexed like the requests.
+/// `t0`; returns one record per request, indexed like the requests. When
+/// `generator_cpu_s` is given it receives the CPU seconds the generator's own
+/// threads used (spin-waits, sends, receives and `send`'s checks), so a
+/// caller can tell the server's CPU apart from the load generator's.
 std::vector<OpRecord> run_open_loop(std::size_t threads, double rate_per_s, std::size_t count,
-                                    const SendFn& send, SteadyClock::time_point t0);
+                                    const SendFn& send, SteadyClock::time_point t0,
+                                    double* generator_cpu_s = nullptr);
 
 }  // namespace perfbench

@@ -230,9 +230,6 @@ WorkloadReport run_paper_sweep(const RunConfig& config) {
   const double pass_median = median(passes);
   report.e2e.add("items_per_s", cells / pass_median, "1/s",
                  "cells/s from the median of " + std::to_string(passes.size()) + " passes");
-  report.e2e.add("op_p50_ms", pass_median * 1e3, "ms",
-                 "median pass of " + std::to_string(first.size()) + " cells, n=" +
-                     std::to_string(passes.size()));
   report.e2e.add("cells_per_s", cells / pass_median, "1/s");
   report.e2e.add("op_iqr_share", iqr_share(passes), "ratio", "spread of the ops within this run");
 

@@ -146,9 +146,6 @@ WorkloadReport run_shard_sweep(const RunConfig& config) {
   const double sweep_median = median(sweeps);
   report.e2e.add("items_per_s", cells / sweep_median, "1/s",
                  "cells/s from the median of " + std::to_string(sweeps.size()) + " sweeps");
-  report.e2e.add("op_p50_ms", sweep_median * 1e3, "ms",
-                 "median sharded sweep of " + std::to_string(sweep.cardinality()) +
-                     " cells, n=" + std::to_string(sweeps.size()));
   report.e2e.add("cells_per_s", cells / sweep_median, "1/s");
   report.e2e.add("op_iqr_share", iqr_share(sweeps), "ratio", "spread of the ops within this run");
 

@@ -4,6 +4,7 @@
 //
 // Build and run through `python3 perfbench/run.py --self-test`, or directly:
 // perfbench_tests exits non-zero when any expectation fails.
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "loadgen.hpp"
 #include "stats.hpp"
 #include "tracer.hpp"
+#include "workload.hpp"
 
 namespace {
 
@@ -117,6 +119,33 @@ void test_open_loop_against_a_stalling_http_server() {
   EXPECT(r[4].latency_ms() > 140.0);
   EXPECT(r[5].latency_ms() > 130.0 && r[5].lateness_ms() > 130.0);
   EXPECT(r[5].service_ms() < 50.0);
+}
+
+void test_open_loop_generator_cpu_excludes_other_threads() {
+  // The generator's CPU covers its own threads: the 1 ms of work each send
+  // does counts, a thread burning CPU beside the generator does not.
+  std::atomic<bool> stop{false};
+  std::thread burner([&stop] {
+    while (!stop.load()) {
+    }
+  });
+  const double cpu0 = process_cpu_seconds();
+  double generator_cpu_s = -1.0;
+  const auto t0 = SteadyClock::now() + std::chrono::milliseconds(5);
+  run_open_loop(
+      2, 100.0, 40,
+      [](std::size_t, std::size_t) {
+        const auto until = SteadyClock::now() + std::chrono::milliseconds(1);
+        while (SteadyClock::now() < until) {
+        }
+        return true;
+      },
+      t0, &generator_cpu_s);
+  stop = true;
+  burner.join();
+  const double process_cpu_s = process_cpu_seconds() - cpu0;
+  EXPECT(generator_cpu_s >= 0.02);
+  EXPECT(generator_cpu_s + 0.05 < process_cpu_s);
 }
 
 Span make(std::uint64_t id, std::uint64_t parent, const char* layer, std::int64_t s,
@@ -251,6 +280,7 @@ int main() {
   test_failures_count_over_any_limit();
   test_open_loop_stall_inflates_later_requests();
   test_open_loop_against_a_stalling_http_server();
+  test_open_loop_generator_cpu_excludes_other_threads();
   test_self_time_nested();
   test_span_scopes_nest();
   test_output_checks_reject_bad_inputs();

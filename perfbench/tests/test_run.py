@@ -49,6 +49,7 @@ class SmokeTest(unittest.TestCase):
         return result
 
     def test_every_workload_untraced_and_traced(self):
+        reported = set()
         for workload in WORKLOADS:
             for trace in (0, 1):
                 with self.subTest(workload=workload, trace=trace):
@@ -58,6 +59,13 @@ class SmokeTest(unittest.TestCase):
                     if trace:
                         share = result["metrics"]["trace.accounted_share"]["value"]
                         self.assertAlmostEqual(share, 1.0, places=6)
+                        report = ROOT / ".bench_out" / f"result-{workload}-7-trace1.json"
+                        reported |= set(json.loads(report.read_text())["layer"])
+        # run.py reads a layer a workload never calls as 0, so a metric the
+        # workloads stopped reporting would pass unnoticed: every per-layer
+        # metric must come from at least one workload's own report.
+        missing = {m["name"] for m in self.spec["per_layer"]} - reported
+        self.assertEqual(missing, set(), "per-layer metrics no workload reports")
 
     def test_fails_without_sources(self):
         bare = ROOT / ".bench_out" / "bare-checkout"
